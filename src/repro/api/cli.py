@@ -55,7 +55,8 @@ compares the fresh speedup ratios against the committed baseline files
 and exits non-zero on a >``--tolerance`` throughput regression.
 ``serve`` stands up the :mod:`repro.serve` HTTP service on the built-in
 demo model; ``--workers N`` shards execution over N spawned worker
-processes with the same bit-for-bit response contract.
+processes with the same bit-for-bit response contract (the default, 0,
+runs one shard on a thread of the server process).
 """
 
 from __future__ import annotations
@@ -1388,7 +1389,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ),
         queue=QueuePolicy(max_pending=args.max_pending),
         shard=ShardPolicy(workers=args.workers),
-        pool_size=args.pool_size,
         session_seed=args.session_seed,
         track_world=track_world,
         tracks=TrackPolicy(
@@ -1414,8 +1414,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"serving {', '.join(described['substrates'])} on "
             f"http://{args.host}:{context.port} "
             f"(max_batch={args.max_batch}, max_wait_ms={args.max_wait_ms}, "
-            f"max_pending={args.max_pending}, pool_size={args.pool_size}, "
-            f"workers={args.workers})",
+            f"max_pending={args.max_pending}, workers={args.workers})",
             flush=True,
         )
         endpoints = "POST /infer, GET /healthz, GET /stats"
@@ -1712,15 +1711,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--workers", type=int, default=0, metavar="N",
-        help="worker shard processes; 0 (default) serves in-process, "
-        "N >= 1 fans micro-batches out over N spawned shards, each with "
-        "its own calibrated session pools (same bits, more cores)",
-    )
-    serve_parser.add_argument(
-        "--pool-size", type=int, default=1, metavar="N",
-        help="pre-warmed sessions per (substrate, model) pair "
-        "(in-process mode; with --workers, concurrency comes from "
-        "the shard count instead)",
+        help="worker shard processes; 0 (default) runs one shard on a "
+        "thread of the server process, N >= 1 fans micro-batches out over "
+        "N spawned shards, each with its own calibrated sessions (same "
+        "bits, more cores)",
     )
     serve_parser.add_argument(
         "--model-seed", type=int, default=0, metavar="N",

@@ -63,15 +63,15 @@ class QueuePolicy:
 
 @dataclass(frozen=True)
 class ShardPolicy:
-    """Horizontal scale-out: how work fans out over worker processes.
+    """Horizontal scale-out: how work fans out over worker shards.
 
-    The serving layer (:mod:`repro.serve.workers`) spawns ``workers``
-    shard processes, each owning its own calibrated session pools, and
+    The serving layer (:mod:`repro.serve.workers`) runs ``workers``
+    shard processes, each owning its own calibrated sessions, and
     routes every assembled micro-batch to the least-loaded live shard.
 
     Attributes:
-        workers: shard process count; 0 (default) keeps execution
-            in-process (the single-process coalescing path).
+        workers: shard process count; 0 (default) runs one shard loop
+            on a thread of the serving process instead.
         affinity: prefer, among equally loaded shards, one that has
             already served the batch's substrate, so per-substrate
             calibration/cache state stays warm instead of ping-ponging.

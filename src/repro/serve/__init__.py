@@ -2,24 +2,28 @@
 
 This package lifts the paper's circuit-level batching trade-off to the
 serving level: independent concurrent requests are coalesced into
-``session.run_batch`` micro-batches over pools of pre-warmed sessions,
-with results that stay bit-for-bit equal to a standalone pinned-mask
+``session.run_batch`` micro-batches over pre-warmed sessions, with
+results that stay bit-for-bit equal to a standalone pinned-mask
 ``session.run()`` for the same seed no matter how requests were batched.
+There is one execution path: every micro-batch and track step runs in a
+worker shard loop, hosted on a thread of the serving process by default
+or on N spawned processes with ``ShardPolicy(workers=N)``.
 
 - :mod:`repro.serve.types` -- :class:`InferenceRequest` /
   :class:`InferenceResponse` schemas (JSON round-trip, strict NaN-safe
   wire encoding) and :class:`ServiceOverloaded`.
-- :mod:`repro.serve.pool` -- :class:`SessionPool`: pre-warmed, cloned,
-  calibrated sessions per (substrate, model) pair.
-- :mod:`repro.serve.execution` -- the one micro-batch execution path
-  every backend shares; :func:`reference_run` is the determinism oracle.
+- :mod:`repro.serve.pool` -- :func:`build_reference_session`: the
+  calibrated session every shard builds per (substrate, model) pair,
+  and the parity tests' oracle session.
+- :mod:`repro.serve.execution` -- micro-batch execution inside a shard;
+  :func:`reference_run` is the determinism oracle.
 - :mod:`repro.serve.service` -- :class:`InferenceService` /
   :class:`Batcher`: asyncio submission, ``(max_batch, max_wait_ms)``
   coalescing, bounded-queue backpressure, per-request scoped metering.
 - :mod:`repro.serve.workers` -- :class:`WorkerPool` /
-  :class:`WorkerSpec`: sharded scale-out over spawned worker processes
-  (least-loaded + substrate-affinity routing, crash detection with 503
-  + respawn), selected with ``ShardPolicy(workers=N)``.
+  :class:`WorkerSpec`: the executor -- one thread shard
+  (``ShardPolicy(workers=0)``) or N spawned shard processes, least-loaded
+  + substrate-affinity routing, crash detection with 503 + respawn.
 - :mod:`repro.serve.tracks` -- :class:`TrackManager` / :class:`TrackStore`:
   stateful streaming localization tracks (sticky shard routing, bounded
   admission + idle-TTL eviction via
@@ -45,11 +49,7 @@ Quick start::
 """
 
 from repro.runtime.policy import BatchPolicy, QueuePolicy, ShardPolicy, TrackPolicy
-from repro.serve.pool import (
-    SessionPool,
-    build_reference_session,
-    default_calibration_inputs,
-)
+from repro.serve.pool import build_reference_session, default_calibration_inputs
 from repro.serve.service import (
     Batcher,
     InferenceService,
@@ -57,8 +57,6 @@ from repro.serve.service import (
     reference_run,
 )
 from repro.serve.tracks import (
-    LocalTrackBackend,
-    ShardedTrackBackend,
     TrackHandle,
     TrackManager,
     TrackStore,
@@ -87,14 +85,11 @@ __all__ = [
     "InferenceRequest",
     "InferenceResponse",
     "InferenceService",
-    "LocalTrackBackend",
     "QueuePolicy",
     "RequestExecutionError",
     "ServiceOverloaded",
     "ServiceStats",
-    "SessionPool",
     "ShardPolicy",
-    "ShardedTrackBackend",
     "TrackError",
     "TrackHandle",
     "TrackInit",

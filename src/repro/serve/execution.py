@@ -1,10 +1,10 @@
-"""Micro-batch execution shared by every serving backend.
+"""Micro-batch execution inside a worker shard.
 
-The service has two ways to run an assembled micro-batch -- on a worker
-thread borrowing a session from the in-process pool, or inside a spawned
-shard process (:mod:`repro.serve.workers`).  Both MUST execute requests
-identically, or the per-request determinism contract would depend on the
-deployment shape.  This module is that single code path:
+Every assembled micro-batch runs in a shard loop of
+:mod:`repro.serve.workers`, whether that loop is hosted on a thread of
+the serving process or in a spawned shard process, so the per-request
+determinism contract cannot depend on the deployment shape.  This
+module is the code the loop runs:
 
 - :func:`reference_run` -- the determinism oracle: what one standalone
   pinned-mask ``session.run`` produces for a request seed.

@@ -24,9 +24,8 @@ threads bridge into the service's asyncio loop with
   dead worker shard is being respawned, so load balancers can drain
   early; ``"ok"`` otherwise.
 - ``GET /stats``   -- live counters (requests, batches, rejections,
-  per-substrate tallies, pool idle states, track lifecycle tallies,
-  and -- when sharded -- one row per worker shard with queue depth and
-  dispatch ages).
+  per-substrate tallies, track lifecycle tallies, and one row per
+  worker shard with queue depth and dispatch ages).
 
 Every 503 -- admission bound, shard crash, track admission -- carries a
 ``Retry-After`` header and machine-readable ``"retryable": true`` in

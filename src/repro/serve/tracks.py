@@ -8,13 +8,13 @@ first stateful layer on top of the stateless ``/infer`` path:
 - :class:`TrackWorld` -- the shared world (map cloud, camera, localizer
   configuration) every track session is built from, picklable so shard
   processes rebuild bit-identical sessions from one spec.
-- :class:`TrackStore` -- the per-process execution engine.  It does NOT
+- :class:`TrackStore` -- the per-shard execution engine.  It does NOT
   build one session per track: it keeps one shared prototype
   :class:`~repro.api.substrates.LocalizationSession` per substrate and
   swaps each track's state -- particles, its private RNG, and private
   copies of the backend's energy ledgers -- in and out around every
   step.  Per-track state is O(n_particles), which is what makes
-  thousands of live tracks feasible in one process.
+  thousands of live tracks feasible in one shard.
 - :class:`TrackManager` -- lifecycle, placement, eviction and recovery:
   open/step/close with sticky routing of every track to one home shard,
   :class:`~repro.runtime.policy.TrackPolicy` admission (max live tracks,
@@ -23,7 +23,10 @@ first stateful layer on top of the stateless ``/infer`` path:
   :class:`~repro.serve.service.Batcher`, and crash recovery that either
   replays the track's buffered measurement log on a fresh shard or
   re-initializes the filter and flags ``state_lost`` on the next step
-  response.
+  response.  Track operations run on the shards of the service's
+  :class:`~repro.serve.workers.WorkerPool` -- the same executor, pipe
+  frames and outcome codec as ``/infer`` batches, in both deployment
+  shapes.
 
 The stream determinism contract (:func:`reference_track_run` is the
 oracle): a track stepped measurement-by-measurement is bit-for-bit equal
@@ -46,6 +49,7 @@ from __future__ import annotations
 
 import asyncio
 import copy
+import functools
 import time
 import uuid
 from collections import Counter, OrderedDict
@@ -70,9 +74,7 @@ from repro.serve.types import (
     TrackStepResponse,
     WorkerCrashed,
 )
-
-# The pseudo-home used when tracks execute in-process (no shard pool).
-LOCAL_HOME = (-1, -1)
+from repro.serve.workers import Home, WorkerPool
 
 _TOMBSTONE_LIMIT = 4096
 # Per-logged-step container overhead added to the array payload bytes.
@@ -165,26 +167,6 @@ def _merged_view(ledgers: Sequence[EnergyLedger]) -> EnergyLedger:
     return merged
 
 
-def decode_track_outcomes(encoded: Sequence[tuple]) -> list[Any]:
-    """Decode wire-encoded track outcomes into payloads / exceptions.
-
-    The encoding -- ``("ok", payload)`` / ``("track_error", (kind,
-    message))`` / ``("error", message)`` -- is shared by the in-process
-    store path and the shard pipe, so both deployment shapes fail the
-    same way.
-    """
-    outcomes: list[Any] = []
-    for tag, payload in encoded:
-        if tag == "ok":
-            outcomes.append(payload)
-        elif tag == "track_error":
-            kind, message = payload
-            outcomes.append(TrackError(kind, message))
-        else:
-            outcomes.append(RequestExecutionError(str(payload)))
-    return outcomes
-
-
 class _StoredTrack:
     """One track's swap-in state inside a :class:`TrackStore`."""
 
@@ -206,9 +188,8 @@ class TrackStore:
     (and calibrated) once; its post-calibration ledgers are deep-copied
     as the baseline every new track starts from -- the exact ledger
     state a fresh reference session begins serving with.  All methods
-    must be called from one thread at a time (the manager serializes
-    through a single-thread executor in-process, and shard processes are
-    serial by construction).
+    must be called from one thread at a time; a shard loop is serial by
+    construction, whether it runs in a process or on a thread.
     """
 
     def __init__(self, world: TrackWorld, substrates: Sequence[str]):
@@ -361,160 +342,6 @@ class TrackStore:
         }
 
 
-class LocalTrackBackend:
-    """In-process track execution behind the manager's async interface.
-
-    A single-thread executor serializes every store call: the prototype
-    swap-in/swap-out must never interleave.  There is one pseudo-home
-    (:data:`LOCAL_HOME`), always ready; crash recovery never triggers
-    because the "shard" is this process.
-    """
-
-    spawn_timeout_s = 5.0
-
-    def __init__(self, store: TrackStore):
-        self.store = store
-        from concurrent.futures import ThreadPoolExecutor
-
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-tracks"
-        )
-
-    async def _call(self, fn: Any, *args: Any) -> Any:
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(self._executor, fn, *args)
-
-    def ready_homes(self) -> list[tuple[int, int]]:
-        return [LOCAL_HOME]
-
-    async def open(
-        self,
-        home: tuple[int, int],
-        track_id: str,
-        substrate: str,
-        init: TrackInit,
-        seed: int,
-    ) -> dict:
-        return await self._call(self.store.open, track_id, substrate, init, seed)
-
-    async def steps(
-        self, home: tuple[int, int], items: Sequence[tuple]
-    ) -> list[Any]:
-        encoded = await self._call(self.store.step_batch, list(items))
-        return decode_track_outcomes(encoded)
-
-    async def close(self, home: tuple[int, int], track_id: str) -> dict:
-        return await self._call(self.store.close, track_id)
-
-    def describe(self) -> dict:
-        return {"mode": "local", **self.store.describe()}
-
-    def shutdown(self) -> None:
-        self._executor.shutdown(wait=True)
-
-
-class ShardedTrackBackend:
-    """Track execution over a :class:`~repro.serve.workers.WorkerPool`.
-
-    Homes are ``(shard index, generation)`` pairs: a respawned shard has
-    a new generation, so a track homed on the dead one can never be
-    silently served by its fresh-state replacement -- dispatch raises
-    :class:`~repro.serve.types.WorkerCrashed` and the manager recovers
-    explicitly (replay or ``state_lost``).
-    """
-
-    def __init__(self, pool: Any):
-        self._pool = pool
-
-    @property
-    def spawn_timeout_s(self) -> float:
-        return self._pool.policy.spawn_timeout_s
-
-    def ready_homes(self) -> list[tuple[int, int]]:
-        return self._pool.ready_homes()
-
-    async def open(
-        self,
-        home: tuple[int, int],
-        track_id: str,
-        substrate: str,
-        init: TrackInit,
-        seed: int,
-    ) -> dict:
-        index, generation = home
-        [outcome] = await self._pool.execute_track(
-            index, generation, "open", (track_id, substrate, init, int(seed))
-        )
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
-
-    async def steps(
-        self, home: tuple[int, int], items: Sequence[tuple]
-    ) -> list[Any]:
-        index, generation = home
-        return await self._pool.execute_track(
-            index, generation, "steps", list(items), n_items=len(items)
-        )
-
-    async def close(self, home: tuple[int, int], track_id: str) -> dict:
-        index, generation = home
-        [outcome] = await self._pool.execute_track(
-            index, generation, "close", track_id
-        )
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
-
-    def describe(self) -> dict:
-        return {"mode": "sharded", "shards": self._pool.policy.workers}
-
-    def shutdown(self) -> None:
-        pass  # the pool's lifecycle belongs to the service
-
-
-class _HomeStepBackend:
-    """Adapter giving one home's step path the Batcher execute interface.
-
-    The Batcher hands it ``(track_id, control, depth, truth)`` wire
-    items assembled from concurrent :class:`TrackStepRequest`\\ s; dict
-    payloads come back wrapped as :class:`TrackStepResponse` (manager
-    fills in step index and recovery flags after the future resolves).
-    """
-
-    def __init__(self, backend: Any, home: tuple[int, int]):
-        self._backend = backend
-        self._home = home
-
-    async def execute(self, key: Any, items: Sequence[tuple]) -> list[Any]:
-        outcomes = await self._backend.steps(self._home, items)
-        wrapped: list[Any] = []
-        for item, outcome in zip(items, outcomes):
-            if isinstance(outcome, Exception):
-                wrapped.append(outcome)
-            else:
-                wrapped.append(
-                    TrackStepResponse(
-                        track_id=item[0],
-                        step_index=0,  # filled by the manager on ack
-                        estimate=outcome["estimate"],
-                        ess=outcome["ess"],
-                        resampled=outcome["resampled"],
-                        log_evidence=outcome["log_evidence"],
-                        spread=outcome["spread"],
-                        energy_j=outcome["energy_j"],
-                        ops_executed=outcome["ops_executed"],
-                        energy_breakdown_j=outcome["energy_breakdown_j"],
-                        step_energy_j=outcome["step_energy_j"],
-                        step_ops=outcome["step_ops"],
-                        substrate=outcome["substrate"],
-                        error_m=outcome["error_m"],
-                        batch_size=len(items),
-                    )
-                )
-        return wrapped
-
-
 @dataclass
 class TrackStats:
     """Manager-level lifecycle counters exposed via ``/stats``."""
@@ -580,18 +407,25 @@ class TrackManager:
     contract requires in-order execution -- while steps of *different*
     tracks homed on the same shard coalesce into micro-batches through
     one :class:`~repro.serve.service.Batcher` per home.
+
+    Homes are ``(shard index, generation)`` pairs of the
+    :class:`~repro.serve.workers.WorkerPool`: a respawned shard has a
+    new generation, so a track homed on the dead one can never be
+    silently served by its fresh-state replacement -- dispatch raises
+    :class:`~repro.serve.types.WorkerCrashed` and the manager recovers
+    explicitly (replay or ``state_lost``).
     """
 
     def __init__(
         self,
-        backend: LocalTrackBackend | ShardedTrackBackend,
+        pool: WorkerPool,
         policy: TrackPolicy | None = None,
         batch: BatchPolicy | None = None,
         substrates: Sequence[str] | None = None,
     ):
         from repro.serve.service import ServiceStats
 
-        self._backend = backend
+        self._pool = pool
         self.policy = policy or TrackPolicy()
         self.batch_policy = batch or BatchPolicy()
         self._substrates = (
@@ -601,7 +435,7 @@ class TrackManager:
         )
         self._tracks: dict[str, _LiveTrack] = {}
         self._tombstones: OrderedDict[str, str] = OrderedDict()
-        self._batchers: dict[tuple[int, int], Any] = {}
+        self._batchers: dict[Home, Any] = {}
         self._sweeper: asyncio.Task | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self.track_stats = TrackStats()
@@ -628,34 +462,17 @@ class TrackManager:
             await batcher.close()
         self._batchers.clear()
         self._tracks.clear()
-        self._backend.shutdown()
 
     # -- placement ---------------------------------------------------------
 
-    async def _pick_home(self) -> tuple[int, int]:
+    async def _pick_home(self) -> Home:
         """The ready home with the fewest live tracks; waits out shard
-        warm-up/respawn up to the backend's spawn deadline."""
-        assert self._loop is not None
-        deadline = self._loop.time() + self._backend.spawn_timeout_s
-        while True:
-            homes = self._backend.ready_homes()
-            if homes:
-                counts = Counter(
-                    record.home for record in self._tracks.values()
-                )
-                return min(homes, key=lambda h: (counts.get(h, 0), h))
-            if self._loop.time() >= deadline:
-                raise WorkerCrashed(
-                    -1,
-                    0,
-                    message=(
-                        "no live worker shard available for track "
-                        "placement; retry"
-                    ),
-                )
-            await asyncio.sleep(0.05)
+        warm-up/respawn up to the pool's spawn deadline."""
+        homes = await self._pool.wait_homes()
+        counts = Counter(record.home for record in self._tracks.values())
+        return min(homes, key=lambda h: (counts.get(h, 0), h))
 
-    def _batcher(self, home: tuple[int, int]) -> Any:
+    def _batcher(self, home: Home) -> Any:
         batcher = self._batchers.get(home)
         if batcher is None:
             from repro.serve.service import Batcher
@@ -663,12 +480,44 @@ class TrackManager:
             batcher = Batcher(
                 ("steps", f"{home[0]}:{home[1]}"),
                 self.batch_policy,
-                _HomeStepBackend(self._backend, home),
+                functools.partial(self._execute_steps, home),
                 self.step_stats,
             )
             batcher.start()
             self._batchers[home] = batcher
         return batcher
+
+    async def _execute_steps(
+        self, home: Home, key: Any, items: Sequence[tuple]
+    ) -> list[Any]:
+        """One home's step batch (the Batcher's ``execute``).
+
+        The Batcher hands over ``(track_id, control, depth, truth)`` wire
+        items assembled from concurrent :class:`TrackStepRequest`\\ s;
+        dict payloads come back wrapped as :class:`TrackStepResponse`
+        (the step index and recovery flags are filled in on ack).
+        """
+        outcomes = await self._pool.execute_track(
+            *home, "steps", list(items), n_items=len(items)
+        )
+        return [
+            outcome
+            if isinstance(outcome, Exception)
+            else TrackStepResponse(
+                track_id=item[0],
+                step_index=0,
+                batch_size=len(items),
+                **outcome,
+            )
+            for item, outcome in zip(items, outcomes)
+        ]
+
+    async def _execute_one(self, home: Home, op: str, payload: Any) -> dict:
+        """Run one open/close op at ``home``; a failed outcome raises."""
+        [outcome] = await self._pool.execute_track(*home, op, payload)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
 
     # -- lookup ------------------------------------------------------------
 
@@ -725,9 +574,10 @@ class TrackManager:
         self._tracks[track_id] = record
         async with record.lock:
             try:
-                result = await self._backend.open(
-                    home, track_id, request.substrate, request.init,
-                    request.seed,
+                result = await self._execute_one(
+                    home,
+                    "open",
+                    (track_id, request.substrate, request.init, request.seed),
                 )
             except BaseException:
                 self._tracks.pop(track_id, None)
@@ -738,7 +588,7 @@ class TrackManager:
         return {
             **result,
             "seed": request.seed,
-            "home_shard": None if home == LOCAL_HOME else home[0],
+            "home_shard": home[0],
             "replay": record.replayable,
         }
 
@@ -752,7 +602,7 @@ class TrackManager:
             record.last_used = time.monotonic()
             recoveries = 0
             while True:
-                if record.home not in self._backend.ready_homes():
+                if record.home not in self._pool.ready_homes():
                     await self._recover(record)
                 try:
                     response = await self._submit_step(record, request)
@@ -793,12 +643,16 @@ class TrackManager:
         """Re-home a track whose shard died: replay the buffered
         measurement log, or re-initialize and flag ``state_lost``."""
         home = await self._pick_home()
-        await self._backend.open(
-            home, record.track_id, record.substrate, record.init, record.seed
+        await self._execute_one(
+            home,
+            "open",
+            (record.track_id, record.substrate, record.init, record.seed),
         )
         if record.replayable:
             if record.log:
-                outcomes = await self._backend.steps(home, list(record.log))
+                outcomes = await self._pool.execute_track(
+                    *home, "steps", list(record.log), n_items=len(record.log)
+                )
                 for outcome in outcomes:
                     if isinstance(outcome, Exception):
                         raise outcome
@@ -845,9 +699,9 @@ class TrackManager:
         async with record.lock:
             if self._tracks.get(track_id) is not record:
                 self._lookup(track_id)
-            if record.home in self._backend.ready_homes():
+            if record.home in self._pool.ready_homes():
                 try:
-                    await self._backend.close(record.home, track_id)
+                    await self._execute_one(record.home, "close", track_id)
                 except (TrackError, ServiceOverloaded):
                     pass  # the shard-side state is gone either way
             self._tracks.pop(track_id, None)
@@ -892,9 +746,11 @@ class TrackManager:
                 self._tombstone(track_id, "expired")
                 self.track_stats.expired += 1
                 evicted += 1
-                if record.home in self._backend.ready_homes():
+                if record.home in self._pool.ready_homes():
                     try:
-                        await self._backend.close(record.home, track_id)
+                        await self._execute_one(
+                            record.home, "close", track_id
+                        )
                     except (TrackError, ServiceOverloaded,
                             RequestExecutionError):
                         pass
@@ -911,7 +767,10 @@ class TrackManager:
             "idle_ttl_s": self.policy.idle_ttl_s,
             "replay_log_steps": self.policy.replay_log_steps,
             "max_track_bytes": self.policy.max_track_bytes,
-            "backend": self._backend.describe(),
+            "backend": {
+                "mode": "sharded" if self._pool.policy.workers else "local",
+                "shards": self._pool.policy.workers,
+            },
         }
 
     def stats_snapshot(self) -> dict:
@@ -963,14 +822,10 @@ class TrackHandle:
 
 
 __all__ = [
-    "LOCAL_HOME",
-    "LocalTrackBackend",
-    "ShardedTrackBackend",
     "TrackHandle",
     "TrackManager",
     "TrackStats",
     "TrackStore",
     "TrackWorld",
-    "decode_track_outcomes",
     "reference_track_run",
 ]

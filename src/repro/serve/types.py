@@ -36,6 +36,19 @@ from repro.api.results import (
 )
 
 DEFAULT_MODEL = "default"
+# Track states, priors, controls and truths are (x, y, z, yaw) vectors.
+STATE_DIM = 4
+
+
+def _state_vector(name: str, value: Any) -> np.ndarray:
+    """``value`` as a float vector of shape ``(STATE_DIM,)``; a
+    ``ValueError`` naming the field otherwise (a 400 over HTTP)."""
+    array = np.asarray(value, dtype=float)
+    if array.shape != (STATE_DIM,):
+        raise ValueError(
+            f"{name!r} must have shape ({STATE_DIM},), got {array.shape}"
+        )
+    return array
 
 
 class RequestExecutionError(RuntimeError):
@@ -250,10 +263,12 @@ class TrackInit:
     """How a track's particle filter is initialized on open (and again
     on crash recovery, whether replaying or re-initializing).
 
-    ``mode="tracking"`` needs a prior ``state`` (4,) and ``sigma`` (4,);
-    ``mode="global"`` spreads particles over the map (``z_range``
-    optional).  The init crosses the wire and the shard pipe, so it only
-    holds plain arrays.
+    ``mode="tracking"`` needs a finite prior ``state`` (4,) and a
+    finite, non-negative ``sigma`` (4,); ``mode="global"`` spreads
+    particles over the map (``z_range`` optional: finite, low < high).
+    Malformed inits are rejected here, at parse time, so they never
+    reach a shard.  The init crosses the wire and the shard pipe, so it
+    only holds plain arrays.
     """
 
     mode: str = "tracking"
@@ -271,15 +286,22 @@ class TrackInit:
                 raise ValueError(
                     "init mode 'tracking' needs 'state' and 'sigma'"
                 )
-            object.__setattr__(
-                self, "state", np.asarray(self.state, dtype=float).reshape(-1)
-            )
-            object.__setattr__(
-                self, "sigma", np.asarray(self.sigma, dtype=float).reshape(-1)
-            )
+            state = _state_vector("state", self.state)
+            sigma = _state_vector("sigma", self.sigma)
+            if not (np.all(np.isfinite(state)) and np.all(np.isfinite(sigma))):
+                raise ValueError("init 'state' and 'sigma' must be finite")
+            if np.any(sigma < 0):
+                raise ValueError("init 'sigma' must be >= 0")
+            object.__setattr__(self, "state", state)
+            object.__setattr__(self, "sigma", sigma)
         if self.z_range is not None:
-            low, high = self.z_range
-            object.__setattr__(self, "z_range", (float(low), float(high)))
+            low, high = (float(bound) for bound in self.z_range)
+            if not (np.isfinite(low) and np.isfinite(high) and low < high):
+                raise ValueError(
+                    "init 'z_range' must be finite with low < high, got "
+                    f"({low}, {high})"
+                )
+            object.__setattr__(self, "z_range", (low, high))
 
     def apply(self, session: Any, rng: np.random.Generator) -> None:
         """Initialize ``session`` (a LocalizationSession) with ``rng``."""
@@ -395,14 +417,14 @@ class TrackStepRequest:
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self, "control", np.asarray(self.control, dtype=float).reshape(-1)
+            self, "control", _state_vector("control", self.control)
         )
         object.__setattr__(
             self, "depth", np.asarray(self.depth, dtype=float)
         )
         if self.truth is not None:
             object.__setattr__(
-                self, "truth", np.asarray(self.truth, dtype=float).reshape(-1)
+                self, "truth", _state_vector("truth", self.truth)
             )
 
     def wire_item(self) -> tuple:

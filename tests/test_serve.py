@@ -21,7 +21,7 @@ from repro.serve import (
     InferenceResponse,
     InferenceService,
     ServiceOverloaded,
-    SessionPool,
+    build_reference_session,
     reference_run,
 )
 from repro.serve.demo import demo_inputs, demo_model
@@ -150,30 +150,25 @@ class TestStrictEncoding:
 
 
 class TestSessionPool:
+    """The sessions a shard serves from: one build_reference_session per
+    (substrate, model) pair."""
+
     def test_clone_is_bit_identical(self, model, inputs):
-        pool = SessionPool("cim-ordered", model, n_iterations=N_ITER)
-        original = pool.reference_session()
+        original = build_reference_session(
+            "cim-ordered", model, n_iterations=N_ITER
+        )
         clone = original.clone()
         first = reference_run(original, inputs, 5)
         second = reference_run(clone, inputs, 5)
         assert_result_equal(second, first)
 
-    def test_pool_prewarms_requested_size(self, model):
-        pool = SessionPool("cim", model, n_iterations=N_ITER, size=3)
-        assert pool.idle == 3
-        assert pool.describe()["size"] == 3
-
-    def test_pool_rejects_bad_size(self, model):
-        with pytest.raises(ValueError, match="size"):
-            SessionPool("cim", model, size=0)
-
     def test_reference_session_matches_pool_member(self, model, inputs):
-        pool = SessionPool("cim-reuse", model, n_iterations=N_ITER)
-        member = asyncio.run(pool.acquire())
-        reference = pool.reference_session()
-        assert_result_equal(
-            reference_run(member, inputs, 2), reference_run(reference, inputs, 2)
+        service = make_service(model, ["cim-reuse"])
+        [served] = service.infer_many(
+            [InferenceRequest(inputs, substrate="cim-reuse", seed=2)]
         )
+        reference = service.reference_session("cim-reuse")
+        assert_result_equal(served.result, reference_run(reference, inputs, 2))
 
 
 class TestServiceParity:
@@ -309,7 +304,9 @@ class TestBatching:
         assert snapshot["completed"] == 2
         assert snapshot["failed"] == 0
         assert snapshot["per_substrate"] == {"cim": 2}
-        assert snapshot["pools"]["cim/default"]["idle"] == 1
+        [shard] = snapshot["shards"]["shards"]
+        assert shard["pid"] is None  # workers=0: one thread shard
+        assert shard["completed_batches"] == snapshot["batches"]
 
 
 class TestBackpressure:
@@ -401,7 +398,7 @@ class TestBackpressure:
         def boom(session, substrate, model_name, items):
             raise RuntimeError("engine exploded")
 
-        monkeypatch.setattr("repro.serve.service.run_grouped", boom)
+        monkeypatch.setattr("repro.serve.workers.run_grouped", boom)
         service = make_service(model, ["cim"])
 
         async def drive():
@@ -494,7 +491,9 @@ class TestHTTP:
             urllib.request.urlopen(self.url(server, "/stats")).read()
         )
         assert payload["received"] >= 1
-        assert "pools" in payload and "cim/default" in payload["pools"]
+        [shard] = payload["shards"]["shards"]
+        assert shard["ready"] is True
+        assert "cim" in shard["substrates"]
 
     def test_malformed_body_is_400(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -523,7 +522,7 @@ class TestHTTP:
         def boom(session, substrate, model_name, items):
             raise RuntimeError("engine exploded")
 
-        monkeypatch.setattr("repro.serve.service.run_grouped", boom)
+        monkeypatch.setattr("repro.serve.workers.run_grouped", boom)
         service = make_service(model, ["cim"])
         with serve_http(service, port=0) as context:
             body = InferenceRequest(inputs, substrate="cim").to_json().encode()

@@ -6,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -17,6 +18,8 @@ from repro.api.results import strict_dumps, strict_loads
 from repro.api.substrates import available_substrates
 from repro.runtime import BatchPolicy, ShardPolicy, TrackPolicy
 from repro.serve import (
+    InferenceRequest,
+    InferenceResponse,
     InferenceService,
     ServiceOverloaded,
     TrackError,
@@ -24,9 +27,12 @@ from repro.serve import (
     TrackOpenRequest,
     TrackStepRequest,
     TrackStepResponse,
+    build_reference_session,
+    reference_run,
     reference_track_run,
 )
 from repro.serve.demo import (
+    demo_inputs,
     demo_model,
     demo_track_measurements,
     demo_track_world,
@@ -621,6 +627,160 @@ class TestDegradedHealth:
                 time.sleep(0.2)
             assert health["status"] == "ok"
             assert health["respawning_shards"] == []
+
+
+def get_health(port):
+    return json.loads(
+        urllib.request.urlopen(
+            f"http://127.0.0.1:{port}/healthz", timeout=30
+        ).read()
+    )
+
+
+def wait_health(port, status, timeout_s=60.0):
+    deadline = time.monotonic() + timeout_s
+    health = get_health(port)
+    while health["status"] != status and time.monotonic() < deadline:
+        time.sleep(0.02)
+        health = get_health(port)
+    return health
+
+
+class TestThreadShardRecovery:
+    def test_ended_thread_shard_respawns_and_recovers(
+        self, world, measurements, init, monkeypatch
+    ):
+        """With workers=0 the service runs one shard loop on a thread,
+        so it shares the process shards' crash path: ending the loop
+        degrades /healthz until the respawn is ready, after which /infer
+        is bit-exact again and an open track recovers by replay."""
+        controls, depths, truths = measurements
+        service = make_service(world)
+        # Hold the replacement shard's warm-up so the degraded window
+        # is observable rather than a race.
+        gate = threading.Event()
+        build = build_reference_session
+
+        def gated_build(*args, **kwargs):
+            gate.wait(timeout=60)
+            return build(*args, **kwargs)
+
+        def step(port, track_id, k):
+            return TrackStepResponse.from_dict(
+                post(
+                    port,
+                    "/track/step",
+                    {
+                        "track_id": track_id,
+                        "control": controls[k].tolist(),
+                        "depth": depths[k].tolist(),
+                        "truth": truths[k].tolist(),
+                    },
+                )
+            )
+
+        with serve_http(service, port=0) as context:
+            port = context.port
+            track_id = post(
+                port,
+                "/track/open",
+                {"init": init.to_dict(), "substrate": "cim", "seed": 4},
+            )["track_id"]
+            responses = [step(port, track_id, 0)]
+            victim = service._worker_pool._handles[0]
+            monkeypatch.setattr(
+                "repro.serve.workers.build_reference_session", gated_build
+            )
+            try:
+                victim.conn.send(("stop",))
+                health = wait_health(port, "degraded")
+                assert health["respawning_shards"] == [0]
+            finally:
+                gate.set()
+            health = wait_health(port, "ok")
+            assert health["respawning_shards"] == []
+            victim.process.join(timeout=30)
+            assert not victim.process.is_alive()
+            assert service._worker_pool.respawns == 1
+
+            x = demo_inputs()
+            served = InferenceResponse.from_dict(
+                post(
+                    port,
+                    "/infer",
+                    InferenceRequest(x, substrate="digital", seed=8).to_dict(),
+                )
+            )
+            session = build_reference_session(
+                "digital", demo_model(), n_iterations=4
+            )
+            expected = reference_run(session, x, 8)
+            assert np.array_equal(served.result.mean, expected.mean)
+            assert np.array_equal(served.result.variance, expected.variance)
+            assert served.result.energy_j == expected.energy_j
+            assert served.result.ops_executed == expected.ops_executed
+
+            responses += [step(port, track_id, k) for k in (1, 2)]
+        assert responses[1].replayed_steps == 1
+        assert not any(r.state_lost for r in responses)
+        assert [r.step_index for r in responses] == [1, 2, 3]
+        reference = reference_track_run(world, "cim", init, 4, measurements)
+        assert_stream_matches_reference(responses, reference)
+
+
+# (field, value) edits that make a well-formed track-open init invalid.
+_BAD_INITS = [
+    ("state", [0.0, 0.0, 1.0]),
+    ("sigma", [0.05, 0.05, 0.05]),
+    ("state", [0.0, float("nan"), 1.0, 0.0]),
+    ("sigma", [0.05, float("inf"), 0.05, 0.05]),
+    ("sigma", [0.05, -0.05, 0.05, 0.05]),
+    ("z_range", [2.0, 1.0]),
+    ("z_range", [0.0, float("inf")]),
+]
+
+
+class TestMalformedTrackInputs:
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_rejected_with_400_when_parsed(
+        self, world, measurements, init, workers
+    ):
+        """Bad priors and bad step vectors are client errors, caught
+        before a track is admitted -- not a 200 followed by 500s."""
+        controls, depths, truths = measurements
+        good = {"init": init.to_dict(), "substrate": "cim", "seed": 0}
+        with serve_http(make_service(world, workers=workers), port=0) as ctx:
+            for field, value in _BAD_INITS:
+                body = {**good, "init": {**init.to_dict(), field: value}}
+                with pytest.raises(urllib.error.HTTPError) as excinfo:
+                    post(ctx.port, "/track/open", body)
+                assert excinfo.value.code == 400, (field, value)
+                assert field in strict_loads(excinfo.value.read().decode())[
+                    "error"
+                ]
+            track_id = post(ctx.port, "/track/open", good)["track_id"]
+            step = {
+                "track_id": track_id,
+                "control": controls[0].tolist(),
+                "depth": depths[0].tolist(),
+                "truth": truths[0].tolist(),
+            }
+            for field, value in (
+                ("control", controls[0][:3].tolist()),
+                ("truth", [0.0] * 5),
+            ):
+                with pytest.raises(urllib.error.HTTPError) as excinfo:
+                    post(ctx.port, "/track/step", {**step, field: value})
+                assert excinfo.value.code == 400, field
+            # The rejected steps never reached the track: it still
+            # serves its first step as step 1.
+            assert post(ctx.port, "/track/step", step)["step_index"] == 1
+            stats = json.loads(
+                urllib.request.urlopen(
+                    f"http://127.0.0.1:{ctx.port}/stats", timeout=30
+                ).read()
+            )
+            assert stats["tracks"]["opened"] == 1
 
 
 class TestCLIShutdownWithTracks:

@@ -2,10 +2,12 @@
 
 import asyncio
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 import urllib.request
 from types import SimpleNamespace
@@ -94,10 +96,30 @@ class TestShardPolicy:
             ShardPolicy(spawn_timeout_s=-1)
         assert ShardPolicy().workers == 0  # default stays in-process
 
-    def test_worker_pool_rejects_in_process_policy(self, model):
-        spec = WorkerSpec(models={"default": model}, substrates=("cim",))
-        with pytest.raises(ValueError, match="workers >= 1"):
-            WorkerPool(spec, ShardPolicy(workers=0))
+    def test_workers_zero_runs_one_thread_shard(self, model, inputs):
+        service = InferenceService(
+            model, substrates=["cim"], n_iterations=N_ITER
+        )
+
+        async def drive():
+            async with service:
+                response = await service.submit(
+                    InferenceRequest(inputs, substrate="cim", seed=3)
+                )
+                handles = list(service._worker_pool._handles)
+                children = multiprocessing.active_children()
+                return response, handles, children, service.stats_snapshot()
+
+        response, handles, children, snapshot = asyncio.run(drive())
+        assert children == []
+        [handle] = handles
+        assert isinstance(handle.process, threading.Thread)
+        assert snapshot["shards"]["workers"] == 0
+        [row] = snapshot["shards"]["shards"]
+        assert row["pid"] is None
+        assert row["ready"] is True and row["completed_batches"] == 1
+        session = build_reference_session("cim", model, n_iterations=N_ITER)
+        assert_result_equal(response.result, reference_run(session, inputs, 3))
 
 
 class TestRouting:
@@ -276,6 +298,64 @@ class TestCrashRecovery:
             "digital", model, n_iterations=N_ITER
         )
         assert_result_equal(response.result, reference_run(session, inputs, 2))
+
+
+class TestThreadShardChurn:
+    def test_requests_never_hang_while_the_thread_shard_restarts(
+        self, model, inputs
+    ):
+        """End the thread shard's loop again and again under concurrent
+        load: every request either matches the reference or fails with
+        a retryable WorkerCrashed, and none hangs."""
+        service = InferenceService(
+            model,
+            substrates=["digital"],
+            n_iterations=N_ITER,
+            batch=BatchPolicy(max_batch=4, max_wait_ms=1.0),
+        )
+        request = InferenceRequest(inputs, substrate="digital", seed=1)
+
+        async def client():
+            outcomes = []
+            for _ in range(25):
+                try:
+                    outcomes.append(await service.submit(request))
+                except WorkerCrashed as error:
+                    outcomes.append(error)
+            return outcomes
+
+        async def churn(pool):
+            for _ in range(5):
+                await asyncio.sleep(0.01)
+                victim = pool._handles[0]
+                victim.conn.send(("stop",))
+                while pool._handles[0] is victim or not pool._handles[0].ready:
+                    await asyncio.sleep(0.002)
+
+        async def drive():
+            async with service:
+                clients = [asyncio.ensure_future(client()) for _ in range(6)]
+                await churn(service._worker_pool)
+                return await asyncio.gather(*clients)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            results = asyncio.run(asyncio.wait_for(drive(), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        outcomes = [outcome for result in results for outcome in result]
+        assert len(outcomes) == 6 * 25
+        assert service._worker_pool.respawns == 5
+        expected = reference_run(
+            build_reference_session("digital", model, n_iterations=N_ITER),
+            inputs,
+            1,
+        )
+        served = [o for o in outcomes if not isinstance(o, WorkerCrashed)]
+        assert served
+        for response in served:
+            assert_result_equal(response.result, expected)
 
 
 class TestShardedHTTP:
