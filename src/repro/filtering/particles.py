@@ -8,7 +8,8 @@ position and heading (the convention of the paper's prior work [10]).
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import logsumexp
+
+from repro.maps.gaussian import logsumexp
 
 YAW_INDEX = 3
 

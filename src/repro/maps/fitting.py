@@ -1,8 +1,11 @@
-"""Shared mixture-fitting machinery: k-means++ initialisation and k-means."""
+"""Shared mixture-fitting machinery: k-means++ initialisation, k-means and
+the EM update."""
 
 from __future__ import annotations
 
 import numpy as np
+
+from repro.maps.gaussian import logsumexp
 
 
 def kmeans_plus_plus_init(
@@ -60,18 +63,56 @@ def kmeans(
     centers = kmeans_plus_plus_init(points, k, rng)
     labels = np.zeros(points.shape[0], dtype=np.int64)
     for _ in range(max_iters):
-        dist_sq = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        # Per-axis accumulation: the same bits as summing an (N, k, D)
+        # broadcast over its last axis (see repro.maps.gaussian).
+        dist_sq = np.zeros((points.shape[0], k))
+        diff = np.empty_like(dist_sq)
+        for axis in range(points.shape[1]):
+            np.subtract(points[:, axis, None], centers[None, :, axis], out=diff)
+            dist_sq += np.multiply(diff, diff, out=diff)
         labels = np.argmin(dist_sq, axis=1)
-        new_centers = centers.copy()
-        for j in range(k):
-            mask = labels == j
-            if mask.any():
-                new_centers[j] = points[mask].mean(axis=0)
-            else:
-                # Re-seed an empty cluster at the worst-fit point.
-                new_centers[j] = points[np.argmax(dist_sq.min(axis=1))]
+        counts = np.bincount(labels, minlength=k)
+        filled = counts > 0
+        new_centers = np.empty_like(centers)
+        if points.shape[1] == 1:
+            # numpy sums a one-column cluster pairwise, not in point order.
+            for j in np.flatnonzero(filled):
+                new_centers[j] = points[labels == j].mean(axis=0)
+        else:
+            # bincount adds each cluster's points in point order from 0.0,
+            # as points[labels == j].mean(axis=0) does for two or more axes.
+            for axis in range(points.shape[1]):
+                sums = np.bincount(labels, weights=points[:, axis], minlength=k)
+                new_centers[filled, axis] = sums[filled] / counts[filled]
+        if not filled.all():
+            # Re-seed empty clusters at the worst-fit point.
+            new_centers[~filled] = points[np.argmax(dist_sq.min(axis=1))]
         shift = np.abs(new_centers - centers).max()
         centers = new_centers
         if shift < tol:
             break
     return centers, labels
+
+
+def em_step(
+    points: np.ndarray, log_joint: np.ndarray, min_sigma: float
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """One EM update of a diagonal mixture from its (N, K) log-joint.
+
+    The E-step normalises ``log_joint`` (overwritten with the
+    responsibilities); the M-step takes responsibility-weighted moments.
+
+    Returns:
+        (mean log-likelihood before the update, weights, means, sigmas),
+        with sigmas floored at ``min_sigma``.
+    """
+    log_norm = logsumexp(log_joint, axis=1, keepdims=True)
+    mean_ll = float(log_norm.mean())
+    log_joint -= log_norm
+    resp = np.exp(log_joint, out=log_joint)
+    mass = resp.sum(axis=0) + 1e-12
+    moment = resp.T @ points
+    means = moment / mass[:, None]
+    sq = resp.T @ (points**2) - 2.0 * means * moment + mass[:, None] * means**2
+    sigmas = np.sqrt(np.maximum(sq / mass[:, None], min_sigma**2))
+    return mean_ll, mass / points.shape[0], means, sigmas

@@ -8,10 +8,9 @@ model from which the hardware-native HMG mixture is derived.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import logsumexp
 
-from repro.maps.fitting import kmeans
-from repro.maps.gaussian import diag_gaussian_logpdf
+from repro.maps.fitting import em_step, kmeans
+from repro.maps.gaussian import diag_gaussian_logpdf, logsumexp
 
 
 class GaussianMixture:
@@ -53,10 +52,15 @@ class GaussianMixture:
         """(N, K) per-component log-densities."""
         return diag_gaussian_logpdf(points, self.means, self.sigmas)
 
+    def _log_joint(self, points: np.ndarray) -> np.ndarray:
+        """(N, K) log of weight times component density."""
+        log_joint = self.component_logpdf(points)
+        log_joint += np.log(self.weights)[None, :]
+        return log_joint
+
     def logpdf(self, points: np.ndarray) -> np.ndarray:
         """(N,) mixture log-density."""
-        log_comp = self.component_logpdf(points) + np.log(self.weights)[None, :]
-        return logsumexp(log_comp, axis=1)
+        return logsumexp(self._log_joint(points), axis=1)
 
     def pdf(self, points: np.ndarray) -> np.ndarray:
         """(N,) mixture density."""
@@ -64,9 +68,9 @@ class GaussianMixture:
 
     def responsibilities(self, points: np.ndarray) -> np.ndarray:
         """(N, K) posterior component responsibilities."""
-        log_comp = self.component_logpdf(points) + np.log(self.weights)[None, :]
-        log_norm = logsumexp(log_comp, axis=1, keepdims=True)
-        return np.exp(log_comp - log_norm)
+        log_joint = self._log_joint(points)
+        log_joint -= logsumexp(log_joint, axis=1, keepdims=True)
+        return np.exp(log_joint, out=log_joint)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw n points from the mixture."""
@@ -123,19 +127,9 @@ class GaussianMixture:
 
         previous = -np.inf
         for _ in range(max_iters):
-            # E-step in the log domain.
-            log_comp = model.component_logpdf(points) + np.log(model.weights)[None, :]
-            log_norm = logsumexp(log_comp, axis=1, keepdims=True)
-            mean_ll = float(log_norm.mean())
-            resp = np.exp(log_comp - log_norm)
-            # M-step.
-            mass = resp.sum(axis=0) + 1e-12
-            weights = mass / n
-            means = (resp.T @ points) / mass[:, None]
-            sq = (
-                resp.T @ (points**2) - 2.0 * means * (resp.T @ points) + mass[:, None] * means**2
+            mean_ll, weights, means, sigmas = em_step(
+                points, model._log_joint(points), min_sigma
             )
-            sigmas = np.sqrt(np.maximum(sq / mass[:, None], min_sigma**2))
             model = GaussianMixture(weights, means, sigmas)
             if mean_ll - previous < tol:
                 break

@@ -19,7 +19,8 @@ integrated unit-kernel volume used to turn kernels into proper densities.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import logsumexp
+
+from repro.maps.gaussian import axis_z, diag_components, logsumexp
 
 # Integral of the unit (sigma = 1, peak-normalised) HMG kernel over R^D.
 # D=1 reduces to a Gaussian (sqrt(2*pi)); higher D carry extra tail mass.
@@ -48,16 +49,18 @@ def hmg_log_kernel(
     Returns:
         (N, K) log-kernel values (0 at a center, negative elsewhere).
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    means = np.atleast_2d(np.asarray(means, dtype=float))
-    sigmas = np.atleast_2d(np.asarray(sigmas, dtype=float))
-    if np.any(sigmas <= 0):
-        raise ValueError("sigmas must be positive")
+    points, means, sigmas = diag_components(points, means, sigmas)
     d = points.shape[1]
-    z = (points[:, None, :] - means[None, :, :]) / sigmas[None, :, :]
+    # One contiguous (N, K) plane of z_k^2 / 2 per axis; reducing over the
+    # leading axis adds the planes left to right, like a trailing axis would.
+    half_sq = np.empty((d, points.shape[0], means.shape[0]))
+    for axis in range(d):
+        z = axis_z(points, means, sigmas, axis, out=half_sq[axis])
+        z *= z
+        z *= 0.5
     # log f = log D - logsumexp_k(z_k^2 / 2): stable for arbitrarily far
     # points; clamped at 0 so rounding never pushes the kernel above 1.
-    return np.minimum(np.log(d) - logsumexp(0.5 * z**2, axis=2), 0.0)
+    return np.minimum(np.log(d) - logsumexp(half_sq, axis=0), 0.0)
 
 
 def hmg_kernel(points: np.ndarray, means: np.ndarray, sigmas: np.ndarray) -> np.ndarray:

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.optimize import nnls
-from scipy.special import logsumexp
 
-from repro.maps.fitting import kmeans
+from repro.maps.fitting import em_step, kmeans
+from repro.maps.gaussian import logsumexp
 from repro.maps.gmm import GaussianMixture
 from repro.maps.hmg import HMG_UNIT_INTEGRALS, hmg_kernel, hmg_log_kernel
 
@@ -97,11 +97,15 @@ class HMGMixture:
         """(N,) weighted kernel field sum_j w_j f_j (unnormalised)."""
         return self.kernel_values(points) @ self.weights
 
+    def _log_joint(self, points: np.ndarray) -> np.ndarray:
+        """(N, K) log of weight times normalised kernel density."""
+        log_joint = hmg_log_kernel(points, self.means, self.sigmas)
+        log_joint += (np.log(self.weights + 1e-300) - self._log_norms())[None, :]
+        return log_joint
+
     def logpdf(self, points: np.ndarray) -> np.ndarray:
         """(N,) log-density of the properly normalised mixture."""
-        log_k = hmg_log_kernel(points, self.means, self.sigmas)
-        log_w = np.log(self.weights + 1e-300) - self._log_norms()
-        return logsumexp(log_k + log_w[None, :], axis=1)
+        return logsumexp(self._log_joint(points), axis=1)
 
     def pdf(self, points: np.ndarray) -> np.ndarray:
         """(N,) density of the normalised mixture."""
@@ -203,21 +207,9 @@ class HMGMixture:
 
         previous = -np.inf
         for _ in range(max_iters):
-            log_k = hmg_log_kernel(points, model.means, model.sigmas)
-            log_w = np.log(model.weights + 1e-300) - model._log_norms()
-            log_joint = log_k + log_w[None, :]
-            log_norm = logsumexp(log_joint, axis=1, keepdims=True)
-            mean_ll = float(log_norm.mean())
-            resp = np.exp(log_joint - log_norm)
-            mass = resp.sum(axis=0) + 1e-12
-            weights = mass / n
-            means = (resp.T @ points) / mass[:, None]
-            sq = (
-                resp.T @ (points**2)
-                - 2.0 * means * (resp.T @ points)
-                + mass[:, None] * means**2
+            mean_ll, weights, means, sigmas = em_step(
+                points, model._log_joint(points), min_sigma
             )
-            sigmas = np.sqrt(np.maximum(sq / mass[:, None], min_sigma**2))
             sigmas = _quantize_to_menu(sigmas, sigma_menu)
             model = HMGMixture(weights, means, sigmas)
             if mean_ll - previous < tol:

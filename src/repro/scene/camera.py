@@ -8,6 +8,7 @@ maps camera-frame points to world-frame points.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -85,11 +86,26 @@ class PinholeCamera:
             [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]]
         )
 
+    @cached_property
+    def _grid(self) -> tuple[np.ndarray, np.ndarray]:
+        u, v = np.meshgrid(
+            np.arange(self.width, dtype=float), np.arange(self.height, dtype=float)
+        )
+        u.flags.writeable = False
+        v.flags.writeable = False
+        return u, v
+
+    def __getstate__(self) -> dict:
+        # Unpickled arrays come back writeable, so the grid is rebuilt
+        # rather than shipped.
+        return {k: v for k, v in self.__dict__.items() if k != "_grid"}
+
     def pixel_grid(self) -> tuple[np.ndarray, np.ndarray]:
-        """Meshgrid of pixel coordinates (u, v), each of shape (H, W)."""
-        u = np.arange(self.width, dtype=float)
-        v = np.arange(self.height, dtype=float)
-        return np.meshgrid(u, v)
+        """Meshgrid of pixel coordinates (u, v), each of shape (H, W).
+
+        Built once per camera and shared between calls, so read-only.
+        """
+        return self._grid
 
     def ray_directions(self) -> np.ndarray:
         """Unit ray directions in the camera frame, shape (H, W, 3)."""

@@ -542,7 +542,13 @@ class WorkerPool:
                 handle.substrates.add(substrate)
         try:
             handle.conn.send((kind, job_id, *body))
-        except (OSError, ValueError) as error:
+        except (OSError, ValueError, TypeError) as error:
+            # The reader thread may close a dying shard's pipe while this
+            # thread is inside send(): the Connection then writes to a
+            # None handle and raises TypeError.  Any other TypeError (an
+            # unpicklable body) is a bug, not a crash.
+            if isinstance(error, TypeError) and not handle.conn.closed:
+                raise
             with self._lock:
                 handle.inflight.pop(job_id, None)
             # The death handler may already have queued a failure for

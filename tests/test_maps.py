@@ -2,8 +2,15 @@
 
 import numpy as np
 import pytest
+import scipy
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+import repro.maps.fitting as fitting_module
+import repro.maps.gmm as gmm_module
+import repro.maps.hmgm as hmgm_module
 
 from repro.maps import (
     GaussianMixture,
@@ -16,6 +23,7 @@ from repro.maps import (
     kmeans,
     kmeans_plus_plus_init,
 )
+from repro.maps.gaussian import logsumexp
 from repro.maps.hmg import HMG_UNIT_INTEGRALS, hmg_log_kernel, tail_rectilinearity
 
 
@@ -76,6 +84,15 @@ class TestDiagGaussian:
     def test_rejects_bad_sigma(self):
         with pytest.raises(ValueError):
             diag_gaussian_logpdf(np.zeros((1, 2)), np.zeros((1, 2)), np.zeros((1, 2)))
+
+    def test_rejects_mismatched_dims(self):
+        with pytest.raises(ValueError, match="dims"):
+            diag_gaussian_logpdf(np.zeros((5, 1)), np.zeros((2, 3)), np.ones((2, 3)))
+        with pytest.raises(ValueError, match="share a shape"):
+            diag_gaussian_logpdf(np.zeros((5, 3)), np.zeros((2, 3)), np.ones((2, 2)))
+        model = GaussianMixture(np.ones(2), np.zeros((2, 3)), np.ones((2, 3)))
+        with pytest.raises(ValueError, match="dims"):
+            model.logpdf(np.zeros((5, 1)))
 
 
 class TestKMeans:
@@ -186,6 +203,12 @@ class TestHMGKernel:
             HMG_UNIT_INTEGRALS[3], rel=5e-3
         )
 
+    def test_rejects_mismatched_dims(self):
+        with pytest.raises(ValueError, match="dims"):
+            hmg_log_kernel(np.zeros((5, 1)), np.zeros((2, 3)), np.ones((2, 3)))
+        with pytest.raises(ValueError, match="share a shape"):
+            hmg_log_kernel(np.zeros((5, 3)), np.zeros((2, 3)), np.ones((1, 3)))
+
     def test_log_kernel_stable_far_away(self):
         log_val = hmg_log_kernel(
             np.array([[100.0, 100.0, 100.0]]), np.zeros((1, 3)), np.ones((1, 3))
@@ -284,3 +307,232 @@ class TestHMGMixture:
             HMGMixture([1.0], [[0, 0]], [[1.0]])
         with pytest.raises(ValueError):
             HMGMixture([0.0], [[0, 0]], [[1.0, 1.0]])
+
+
+# --- Bit parity of the per-axis kernels against the code they replaced ----
+#
+# Reference copies of the broadcast kernels (and scipy's logsumexp, whose
+# real-input algorithm repro.maps.gaussian.logsumexp replays).  Every
+# comparison is to the bit: equal values, NaNs in the same places and the
+# same sign bits.
+
+_OLD_SCIPY = tuple(int(part) for part in scipy.__version__.split(".")[:2]) < (1, 15)
+needs_scipy_115 = pytest.mark.skipif(
+    _OLD_SCIPY, reason="scipy < 1.15 uses a different logsumexp algorithm"
+)
+
+
+def _ref_diag_gaussian_logpdf(points, means, sigmas):
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    means = np.atleast_2d(np.asarray(means, dtype=float))
+    sigmas = np.atleast_2d(np.asarray(sigmas, dtype=float))
+    d = points.shape[1]
+    z = (points[:, None, :] - means[None, :, :]) / sigmas[None, :, :]
+    log_norm = -0.5 * d * np.log(2.0 * np.pi) - np.log(sigmas).sum(axis=1)
+    return log_norm[None, :] - 0.5 * np.sum(z**2, axis=2)
+
+
+def _ref_hmg_log_kernel(points, means, sigmas):
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    means = np.atleast_2d(np.asarray(means, dtype=float))
+    sigmas = np.atleast_2d(np.asarray(sigmas, dtype=float))
+    d = points.shape[1]
+    z = (points[:, None, :] - means[None, :, :]) / sigmas[None, :, :]
+    return np.minimum(np.log(d) - scipy.special.logsumexp(0.5 * z**2, axis=2), 0.0)
+
+
+def _ref_kmeans(points, k, rng, max_iters=50, tol=1e-6):
+    points = np.asarray(points, dtype=float)
+    centers = kmeans_plus_plus_init(points, k, rng)
+    labels = np.zeros(points.shape[0], dtype=np.int64)
+    for _ in range(max_iters):
+        dist_sq = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        labels = np.argmin(dist_sq, axis=1)
+        new_centers = centers.copy()
+        for j in range(k):
+            mask = labels == j
+            if mask.any():
+                new_centers[j] = points[mask].mean(axis=0)
+            else:
+                new_centers[j] = points[np.argmax(dist_sq.min(axis=1))]
+        shift = np.abs(new_centers - centers).max()
+        centers = new_centers
+        if shift < tol:
+            break
+    return centers, labels
+
+
+def _assert_same_bits(ours, ref):
+    assert np.ndim(ours) == np.ndim(ref)
+    assert np.shape(ours) == np.shape(ref)
+    assert isinstance(ours, np.ndarray) == isinstance(ref, np.ndarray)
+    assert np.array_equal(ours, ref, equal_nan=True)
+    assert np.array_equal(np.signbit(ours), np.signbit(ref))
+
+
+_SPECIALS = st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 2.5, 700.0, -745.0, 1e308, -1e308, np.inf, -np.inf, np.nan]
+)
+_ANY_FLOAT = st.one_of(_SPECIALS, st.floats(width=64))
+_MODERATE = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-1e3, 1e3))
+
+
+@st.composite
+def _lse_cases(draw):
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=1, max_side=12))
+    a = draw(hnp.arrays(np.float64, shape, elements=_ANY_FLOAT))
+    if draw(st.booleans()):
+        a = np.asfortranarray(a)
+    ndim = max(a.ndim, 1)
+    axis = draw(st.one_of(st.none(), st.integers(-ndim, ndim - 1)))
+    return a, axis, draw(st.booleans())
+
+
+@st.composite
+def _components(draw):
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(1, 12))
+    point_elems = st.one_of(_MODERATE, st.sampled_from([np.inf, -np.inf, np.nan]))
+    points = draw(hnp.arrays(np.float64, (n, d), elements=point_elems))
+    means = draw(hnp.arrays(np.float64, (k, d), elements=_MODERATE))
+    sigmas = draw(hnp.arrays(np.float64, (k, d), elements=st.floats(1e-3, 1e3)))
+    return points, means, sigmas
+
+
+@needs_scipy_115
+class TestLogsumexpParity:
+    @given(_lse_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scipy(self, case):
+        a, axis, keepdims = case
+        _assert_same_bits(
+            logsumexp(a, axis=axis, keepdims=keepdims),
+            scipy.special.logsumexp(a, axis=axis, keepdims=keepdims),
+        )
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            [1.0, 1.0, 0.5],  # tie at the max
+            [-np.inf, -np.inf, -np.inf],  # all -inf
+            [np.inf, 0.0, 1.0],
+            [np.inf, -np.inf],
+            [np.nan, 1.0, 2.0],
+            [800.0, 800.0, -800.0],
+            [1e308, 1e308],
+        ],
+    )
+    @pytest.mark.parametrize("axis", [None, 0, 1])
+    @pytest.mark.parametrize("keepdims", [False, True])
+    def test_edge_rows(self, row, axis, keepdims):
+        a = np.array([row, [0.0] * len(row)])
+        _assert_same_bits(
+            logsumexp(a, axis=axis, keepdims=keepdims),
+            scipy.special.logsumexp(a, axis=axis, keepdims=keepdims),
+        )
+
+    @pytest.mark.parametrize("value", [3.0, -np.inf, np.inf, np.nan])
+    def test_scalar_and_vector_inputs(self, value):
+        _assert_same_bits(logsumexp(value), scipy.special.logsumexp(value))
+        vector = np.array([value, 0.5, value])
+        _assert_same_bits(logsumexp(vector), scipy.special.logsumexp(vector))
+        _assert_same_bits(
+            logsumexp(vector, axis=0, keepdims=True),
+            scipy.special.logsumexp(vector, axis=0, keepdims=True),
+        )
+
+    def test_paper_size_rows(self):
+        rng = np.random.default_rng(0)
+        a = rng.normal(scale=30.0, size=(14400, 48))
+        a[::97, 5] = a[::97, 7] = a[::97].max(axis=1) + 1.0  # ties at the max
+        b = a.reshape(120, 120, 48)
+        for axis in (None, 0, 1, 2):
+            _assert_same_bits(
+                logsumexp(b, axis=axis), scipy.special.logsumexp(b, axis=axis)
+            )
+
+
+class TestKernelParity:
+    @given(_components())
+    @settings(max_examples=200, deadline=None)
+    def test_diag_gaussian_logpdf(self, case):
+        _assert_same_bits(diag_gaussian_logpdf(*case), _ref_diag_gaussian_logpdf(*case))
+
+    @needs_scipy_115
+    @given(_components())
+    @settings(max_examples=200, deadline=None)
+    def test_hmg_log_kernel(self, case):
+        _assert_same_bits(hmg_log_kernel(*case), _ref_hmg_log_kernel(*case))
+
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(1, 40), st.integers(1, 3)),
+            elements=_MODERATE,
+        ),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_kmeans(self, points, data):
+        k = data.draw(st.integers(1, points.shape[0]))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        try:
+            ref = _ref_kmeans(points, k, np.random.default_rng(seed))
+        except ValueError as exc:  # degenerate k-means++ probabilities
+            with pytest.raises(type(exc)):
+                kmeans(points, k, np.random.default_rng(seed))
+            return
+        centers, labels = kmeans(points, k, np.random.default_rng(seed))
+        _assert_same_bits(centers, ref[0])
+        assert np.array_equal(labels, ref[1])
+
+
+@needs_scipy_115
+class TestFitParity:
+    """Paper-size fits: a 48-component GMM and HMGM on a 3000-point room
+    cloud equal, to the bit, fits run with the replaced kernels."""
+
+    @pytest.fixture(scope="class")
+    def room_cloud(self):
+        from repro.scene.scene import make_room_scene
+
+        rng = np.random.default_rng(5)
+        return make_room_scene(rng).sample_point_cloud(3000, rng, noise_std=0.01)
+
+    @staticmethod
+    def _use_reference_kernels(monkeypatch):
+        monkeypatch.setattr(gmm_module, "diag_gaussian_logpdf", _ref_diag_gaussian_logpdf)
+        monkeypatch.setattr(gmm_module, "logsumexp", scipy.special.logsumexp)
+        monkeypatch.setattr(fitting_module, "logsumexp", scipy.special.logsumexp)
+        monkeypatch.setattr(hmgm_module, "logsumexp", scipy.special.logsumexp)
+        monkeypatch.setattr(hmgm_module, "hmg_log_kernel", _ref_hmg_log_kernel)
+        monkeypatch.setattr(gmm_module, "kmeans", _ref_kmeans)
+        monkeypatch.setattr(hmgm_module, "kmeans", _ref_kmeans)
+
+    @staticmethod
+    def _assert_same_model(ours, ref):
+        for field in ("weights", "means", "sigmas"):
+            _assert_same_bits(getattr(ours, field), getattr(ref, field))
+
+    def test_gmm_fit(self, room_cloud, monkeypatch):
+        fit = GaussianMixture.fit
+        probe = room_cloud[:500] + 0.05
+        ours = fit(room_cloud, 48, np.random.default_rng(11), min_sigma=0.08)
+        ours_ll = ours.logpdf(probe)
+        self._use_reference_kernels(monkeypatch)
+        ref = fit(room_cloud, 48, np.random.default_rng(11), min_sigma=0.08)
+        self._assert_same_model(ours, ref)
+        _assert_same_bits(ours_ll, ref.logpdf(probe))
+
+    def test_hmgm_fit(self, room_cloud, monkeypatch):
+        from repro.circuits.technology import NODE_45NM
+        from repro.core.tiling import tiled_sigma_menu
+
+        lo, hi = room_cloud.min(axis=0) - 0.2, room_cloud.max(axis=0) + 0.2
+        menu = tiled_sigma_menu(NODE_45NM, lo, hi, (2, 2, 2))
+        fit = HMGMixture.fit
+        ours = fit(room_cloud, 48, np.random.default_rng(11), sigma_menu=menu)
+        self._use_reference_kernels(monkeypatch)
+        ref = fit(room_cloud, 48, np.random.default_rng(11), sigma_menu=menu)
+        self._assert_same_model(ours, ref)

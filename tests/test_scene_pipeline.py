@@ -45,6 +45,50 @@ class TestCamera:
         assert points.shape == (1, 3)
         assert points[0, 2] == pytest.approx(2.0)
 
+    def test_pixel_grid_cached_and_read_only(self, camera):
+        u, v = camera.pixel_grid()
+        again = camera.pixel_grid()
+        assert again[0] is u and again[1] is v
+        assert not u.flags.writeable and not v.flags.writeable
+        with pytest.raises(ValueError):
+            u[0, 0] = 1.0
+        expected_u, expected_v = np.meshgrid(
+            np.arange(camera.width, dtype=float), np.arange(camera.height, dtype=float)
+        )
+        assert np.array_equal(u, expected_u) and np.array_equal(v, expected_v)
+
+    def test_pickled_camera_rebuilds_read_only_grid(self, camera):
+        import pickle
+
+        camera.pixel_grid()
+        clone = pickle.loads(pickle.dumps(camera))
+        assert clone == camera
+        assert not clone.pixel_grid()[0].flags.writeable
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_backproject_unchanged_by_grid_cache(self, stride, rng):
+        camera = PinholeCamera.from_fov(20, 14, fov_x_deg=70.0)
+        depth = rng.uniform(0.5, 4.0, size=(camera.height, camera.width))
+        depth[2, 3] = np.nan
+        depth[5, ::2] = 0.0
+        # The pre-cache formula, with a freshly built meshgrid.
+        u, v = np.meshgrid(
+            np.arange(camera.width, dtype=float), np.arange(camera.height, dtype=float)
+        )
+        u, v, d = u[::stride, ::stride], v[::stride, ::stride], depth[::stride, ::stride]
+        valid = np.isfinite(d) & (d > 0)
+        d = d[valid]
+        expected = np.stack(
+            [
+                (u[valid] - camera.cx) / camera.fx * d,
+                (v[valid] - camera.cy) / camera.fy * d,
+                d,
+            ],
+            axis=-1,
+        )
+        for _ in range(2):  # first call builds the grid, second reuses it
+            assert np.array_equal(camera.backproject(depth, stride=stride), expected)
+
     def test_project_negative_depth_invalid(self, camera):
         _, valid = camera.project(np.array([[0.0, 0.0, -1.0]]))
         assert not valid[0]

@@ -358,6 +358,37 @@ class TestThreadShardChurn:
             assert_result_equal(response.result, expected)
 
 
+class TestSubmitRace:
+    class _ConnClosedMidSend:
+        """A pipe the reader thread closes while send() is writing."""
+
+        closed = False
+
+        def send(self, frame):
+            self.closed = True
+            raise TypeError("'NoneType' object cannot be interpreted as an integer")
+
+    class _UnpicklableSend:
+        closed = False
+
+        def send(self, frame):
+            raise TypeError("cannot pickle 'generator' object")
+
+    def _submit(self, conn):
+        from repro.serve.workers import WorkerHandle
+
+        pool = WorkerPool(None, ShardPolicy(workers=1))
+        handle = WorkerHandle(0, process=None, conn=conn)
+        asyncio.run(pool._submit(handle, "batch", ((), []), 1))
+
+    def test_pipe_closed_mid_send_is_a_worker_crash(self):
+        with pytest.raises(WorkerCrashed):
+            self._submit(self._ConnClosedMidSend())
+
+    def test_other_send_type_errors_propagate(self):
+        with pytest.raises(TypeError, match="pickle"):
+            self._submit(self._UnpicklableSend())
+
 class TestShardedHTTP:
     def test_http_parity_and_shard_stats(self, model, inputs):
         service = make_sharded(model, ["cim"], workers=1)
