@@ -19,7 +19,6 @@ softplus links so any :mod:`repro.nn` model can grow an evidential head.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import digamma, gammaln
 
 _EPS = 1e-6
 
@@ -84,6 +83,13 @@ class EvidentialLoss:
         d = targets.shape[1]
         if raw.shape[1] != 4 * d:
             raise ValueError("raw width must be 4x the target width")
+        if raw.shape[0] != targets.shape[0]:
+            raise ValueError(
+                f"raw has {raw.shape[0]} rows but targets has "
+                f"{targets.shape[0]}; batch sizes must match"
+            )
+        from scipy.special import digamma, gammaln
+
         gamma, nu, alpha, beta = split_evidential_outputs(raw)
         error = targets - gamma
         omega = 2.0 * beta * (1.0 + nu)

@@ -16,7 +16,6 @@ mirroring the paper's workflow:
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import nnls
 
 from repro.maps.fitting import em_step, kmeans
 from repro.maps.gaussian import logsumexp
@@ -162,6 +161,8 @@ class HMGMixture:
         target = np.asarray(target_density, dtype=float).reshape(-1)
         if target.size != points.shape[0]:
             raise ValueError("points / target_density length mismatch")
+        from scipy.optimize import nnls
+
         phi = self.kernel_values(points) * np.exp(-self._log_norms())[None, :]
         weights, _ = nnls(phi, target)
         if weights.sum() <= 0:

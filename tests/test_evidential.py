@@ -68,6 +68,16 @@ class TestEvidentialLoss:
         with pytest.raises(ValueError):
             loss_fn(rng.normal(size=(2, 6)), rng.normal(size=(2, 2)))
 
+    # Unchecked, (5, 8) against (1, 2) broadcasts and divides the loss by
+    # targets.size = 2 instead of 10; the reverse fails inside numpy.
+    @pytest.mark.parametrize("raw_rows, target_rows", [(5, 1), (1, 5)])
+    def test_batch_validation(self, rng, raw_rows, target_rows):
+        loss_fn = EvidentialLoss()
+        with pytest.raises(ValueError, match="batch sizes must match"):
+            loss_fn(
+                rng.normal(size=(raw_rows, 8)), rng.normal(size=(target_rows, 2))
+            )
+
     def test_regularizer_validation(self):
         with pytest.raises(ValueError):
             EvidentialLoss(regularizer=-1.0)
