@@ -17,6 +17,7 @@ backends so the paper's comparisons (Fig. 2e-i) are one argument away:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,12 +44,28 @@ from repro.filtering.measurement import (
 from repro.filtering.motion import OdometryMotionModel
 from repro.filtering.particle_filter import ParticleFilter, StepDiagnostics
 from repro.filtering.particles import ParticleSet
+from repro.maps.fitting import kmeans_plus_plus_init
 from repro.maps.gmm import GaussianMixture
 from repro.maps.hmgm import HMGMixture
 from repro.scene.camera import PinholeCamera
 from repro.scene.se3 import Pose
 
 BACKENDS = ("cim", "digital", "digital-float")
+
+
+def _seed_fit(points: np.ndarray, n_components: int, rng: np.random.Generator) -> dict:
+    """Advance ``rng`` past a mixture fit's only draws, its k-means++
+    seeding, and return the generator state the fit starts from."""
+    state = rng.bit_generator.state
+    kmeans_plus_plus_init(points, n_components, rng)
+    return state
+
+
+def _generator_at(state: dict) -> np.random.Generator:
+    """A fresh generator at a saved ``bit_generator.state``."""
+    bit_generator = getattr(np.random, state["bit_generator"])(0)
+    bit_generator.state = state
+    return np.random.Generator(bit_generator)
 
 
 @dataclass
@@ -126,7 +143,7 @@ class CIMParticleFilterLocalizer:
         temperature: measurement softening (see DepthScanMeasurementModel).
         with_mismatch: sample process variation for the array.
         with_noise: add analog noise to array evaluations.
-        min_sigma: GMM regularisation floor (m).
+        min_sigma: GMM regularisation floor (m); must be > 0.
         tiles: tile grid for the CIM map ((1,1,1) = single array; the
             default (2,2,2) doubles the effective kernel resolution, see
             :mod:`repro.core.tiling`).
@@ -161,6 +178,8 @@ class CIMParticleFilterLocalizer:
             raise ValueError(f"backend must be one of {BACKENDS}")
         if fit_mode not in ("direct", "convert"):
             raise ValueError("fit_mode must be 'direct' or 'convert'")
+        if min_sigma <= 0:
+            raise ValueError(f"min_sigma must be > 0, got {min_sigma}")
         rng = rng or np.random.default_rng(0)
         self.backend_name = backend
         self.camera = camera
@@ -178,16 +197,18 @@ class CIMParticleFilterLocalizer:
             lo=lo - pad, hi=hi + pad, vdd=node.vdd, margin=0.08
         )
 
-        # Stage 1: conventional GMM map (shared by all backends).
-        self.gmm = GaussianMixture.fit(
-            map_cloud, n_components, rng, min_sigma=min_sigma
-        )
-        # Stage 2: co-designed HMG mixture on the (tiled) hardware width menu.
-        menu = tiled_sigma_menu(node, lo - pad, hi + pad, self.tiles)
+        # Stages 1-2: the conventional GMM the digital backends read and the
+        # co-designed HMG mixture, on the (tiled) hardware width menu, the
+        # array is programmed with.  A fit draws from the rng only in its
+        # k-means++ seeding, so each fit is reduced here to that seeding
+        # (keeping the rng's draw order) and refined on first read from the
+        # saved generator state: a localizer fits only the maps it reads.
+        self._n_components = n_components
+        self._min_sigma = min_sigma
+        self._sigma_menu = tiled_sigma_menu(node, lo - pad, hi + pad, self.tiles)
+        self._gmm_rng_state = _seed_fit(map_cloud, n_components, rng)
         if fit_mode == "direct":
-            self.hmgm = HMGMixture.fit(
-                map_cloud, n_components, rng, sigma_menu=menu
-            )
+            self._hmgm_rng_state = _seed_fit(map_cloud, n_components, rng)
         else:
             refine = map_cloud[
                 rng.choice(
@@ -197,7 +218,7 @@ class CIMParticleFilterLocalizer:
                 )
             ]
             self.hmgm = HMGMixture.from_gmm(
-                self.gmm, sigma_menu=menu, refine_points=refine
+                self.gmm, sigma_menu=self._sigma_menu, refine_points=refine
             )
         # Stage 3: backend.
         self.codesign_report: CoDesignReport | None = None
@@ -253,6 +274,27 @@ class CIMParticleFilterLocalizer:
             OdometryMotionModel(),
             self.measurement_model,
             roughening=np.array([0.01 * span[0], 0.01 * span[1], 0.01 * span[2], 0.01]),
+        )
+
+    @cached_property
+    def gmm(self) -> GaussianMixture:
+        """Conventional GMM map, fit on first read."""
+        return GaussianMixture.fit(
+            self.map_cloud,
+            self._n_components,
+            _generator_at(self._gmm_rng_state),
+            min_sigma=self._min_sigma,
+        )
+
+    @cached_property
+    def hmgm(self) -> HMGMixture:
+        """Directly fit HMG mixture map, fit on first read (``fit_mode=
+        "convert"`` sets it during construction instead)."""
+        return HMGMixture.fit(
+            self.map_cloud,
+            self._n_components,
+            _generator_at(self._hmgm_rng_state),
+            sigma_menu=self._sigma_menu,
         )
 
     def initialize_global(

@@ -289,3 +289,135 @@ class TestLocalizerSmoke:
             CIMParticleFilterLocalizer(
                 world.cloud, world.camera, backend="quantum"
             )
+
+    @pytest.mark.parametrize("backend", ["digital-float", "digital", "cim"])
+    @pytest.mark.parametrize("min_sigma", [0.0, -0.1])
+    def test_nonpositive_min_sigma_rejected_at_construction(
+        self, backend, min_sigma, world
+    ):
+        with pytest.raises(ValueError, match="min_sigma"):
+            CIMParticleFilterLocalizer(
+                world.cloud, world.camera, backend=backend, min_sigma=min_sigma
+            )
+
+
+def _same_mixture(a, b) -> bool:
+    return all(
+        np.array_equal(getattr(a, field), getattr(b, field))
+        for field in ("weights", "means", "sigmas")
+    )
+
+
+class TestDeferredMapFit:
+    """Each localizer fits only the map its backend reads; the other map
+    is refit on first read from the saved generator state, to the same
+    bits an eager fit at that rng position gives."""
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        from repro.scenarios import get_scenario
+        from repro.scenarios.world import scenario_world
+
+        return scenario_world(get_scenario("room-baseline").tiny())
+
+    @staticmethod
+    def _localizer(world, backend, **kwargs):
+        return CIMParticleFilterLocalizer(
+            world.cloud,
+            world.camera,
+            camera_mount=world.mount,
+            backend=backend,
+            n_components=6,
+            total_columns=60,
+            n_particles=40,
+            max_pixels=16,
+            rng=np.random.default_rng(4),
+            **kwargs,
+        )
+
+    @pytest.mark.parametrize(
+        "backend,read,unread",
+        [("cim", "hmgm", "gmm"), ("digital", "gmm", "hmgm"),
+         ("digital-float", "gmm", "hmgm")],
+    )
+    def test_only_the_read_map_is_fit(self, world, backend, read, unread):
+        localizer = self._localizer(world, backend)
+        assert read in vars(localizer)
+        assert unread not in vars(localizer)
+
+    def test_convert_fits_both_maps(self, world):
+        localizer = self._localizer(world, "cim", fit_mode="convert")
+        assert {"gmm", "hmgm"} <= set(vars(localizer))
+
+    def test_cim_gmm_equals_eager_fit(self, world):
+        localizer = self._localizer(world, "cim")
+        eager = GaussianMixture.fit(
+            world.cloud, 6, np.random.default_rng(4), min_sigma=0.08
+        )
+        assert _same_mixture(localizer.gmm, eager)
+
+    @pytest.mark.parametrize("tiles", [(1, 1, 1), (2, 2, 2)])
+    def test_digital_hmgm_equals_eager_fit(self, world, tiles):
+        localizer = self._localizer(world, "digital", tiles=tiles)
+        rng = np.random.default_rng(4)
+        GaussianMixture.fit(world.cloud, 6, rng, min_sigma=0.08)
+        lo, hi = world.cloud.min(axis=0) - 0.2, world.cloud.max(axis=0) + 0.2
+        menu = tiled_sigma_menu(NODE_45NM, lo, hi, tiles)
+        eager = HMGMixture.fit(world.cloud, 6, rng, sigma_menu=menu)
+        assert _same_mixture(localizer.hmgm, eager)
+
+    def test_refit_is_idempotent(self, world):
+        localizer = self._localizer(world, "cim")
+        first = localizer.gmm
+        assert localizer.gmm is first
+        del localizer.gmm  # drop the cached map: the next read refits
+        second = localizer.gmm
+        assert second is not first and _same_mixture(second, first)
+
+    def test_clone_before_or_after_read(self, world):
+        from repro.api import get_substrate
+
+        session = get_substrate("cim").localization_session(
+            world.cloud,
+            world.camera,
+            camera_mount=world.mount,
+            n_components=6,
+            n_particles=40,
+            rng=np.random.default_rng(4),
+        )
+        early = session.clone()
+        read = session.localizer.gmm
+        late = session.clone()
+        assert _same_mixture(early.localizer.gmm, read)
+        assert _same_mixture(late.localizer.gmm, read)
+
+    def test_pickle_round_trip(self, world):
+        import pickle
+
+        localizer = self._localizer(world, "digital")
+        restored = pickle.loads(pickle.dumps(localizer))
+        assert "hmgm" not in vars(restored)
+        assert _same_mixture(restored.hmgm, localizer.hmgm)
+
+    @pytest.mark.parametrize("backend,unread", [("cim", "gmm"), ("digital", "hmgm")])
+    def test_reading_unread_map_mid_run_changes_nothing(self, world, backend, unread):
+        runs = []
+        for touch in (False, True):
+            localizer = self._localizer(world, backend)
+            rng = np.random.default_rng(9)
+            localizer.initialize_tracking(
+                world.states[0], np.array([0.2, 0.2, 0.1, 0.1]), rng
+            )
+            half = len(world.depths) // 2
+            estimates = [
+                localizer.step(control, depth, rng).estimate
+                for control, depth in zip(world.controls[:half], world.depths[:half])
+            ]
+            if touch:
+                getattr(localizer, unread)
+            estimates += [
+                localizer.step(control, depth, rng).estimate
+                for control, depth in zip(world.controls[half:], world.depths[half:])
+            ]
+            runs.append(np.stack(estimates))
+        assert np.array_equal(runs[0], runs[1])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -113,6 +113,47 @@ class TestKMeans:
         _, labels = kmeans(points, 4, rng)
         assert labels.shape == (40,)
         assert set(labels) <= set(range(4))
+
+
+@st.composite
+def _fit_cases(draw):
+    """(points, k, seed): clouds of 1-30 points over a pool of distinct
+    rows, so repeated rows (and the k-means++ ``total <= 0`` branch) are
+    common."""
+    d = draw(st.integers(1, 3))
+    pool = draw(hnp.arrays(np.float64, (draw(st.integers(1, 8)), d),
+                           elements=st.floats(-5.0, 5.0)))
+    rows = draw(st.lists(st.integers(0, pool.shape[0] - 1), min_size=1, max_size=30))
+    points = pool[rows]
+    k = draw(st.integers(1, points.shape[0]))
+    return points, k, draw(st.integers(0, 2**32 - 1))
+
+
+class TestFitDrawContract:
+    """A mixture fit draws from its rng only in the k-means++ seeding;
+    Lloyd's iterations and EM draw nothing.  Localizers rely on this to
+    keep the session rng's draw order while skipping the fit of a map
+    their backend does not read."""
+
+    @given(_fit_cases())
+    @example((np.zeros((5, 3)), 3, 0))  # every point coincides: total <= 0
+    @example((np.repeat(np.eye(3), 2, axis=0), 6, 1))  # k == n, duplicates
+    @example((np.arange(12.0).reshape(4, 3), 4, 2))  # k == n, distinct
+    @settings(max_examples=60, deadline=None)
+    def test_fit_draws_only_kmeans_plus_plus(self, case):
+        points, k, seed = case
+        seeded = np.random.default_rng(seed)
+        kmeans_plus_plus_init(points, k, seeded)
+        expected = seeded.bit_generator.state
+        menu = np.array([0.05, 0.3, 1.0])
+        for fit, kwargs in (
+            (GaussianMixture.fit, {}),
+            (HMGMixture.fit, {}),
+            (HMGMixture.fit, {"sigma_menu": menu}),
+        ):
+            rng = np.random.default_rng(seed)
+            fit(points, k, rng, **kwargs)
+            assert rng.bit_generator.state == expected
 
 
 class TestGMM:
